@@ -42,11 +42,9 @@ class MeasurementPolicy:
     #: Start method of the ``"process"`` backend (``"fork"``, ``"spawn"``,
     #: ``"forkserver"``); ``None`` prefers ``fork`` where available.
     mp_context: str | None = None
-    #: Dedup repeated schedules by content digest before hitting the simulator.
-    memoize: bool = False
     #: Cross-session memo table (see :class:`repro.pool.SharedMemoTable`);
     #: set by :class:`~repro.pool.SessionPool` so workers share measurements.
-    #: Implies memoization for the workloads it covers.
+    #: Without one, each search dedups repeated schedules in a private table.
     shared_memo: "object | None" = field(default=None, repr=False, compare=False)
     #: This session's identity in the shared table (cross-worker-hit
     #: accounting); meaningless without ``shared_memo``.

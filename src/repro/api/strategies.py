@@ -137,7 +137,6 @@ class PPOStrategy:
             measure_backend=policy.backend,
             max_workers=policy.max_workers,
             mp_context=policy.mp_context,
-            memoize=policy.memoize,
             shared_memo=policy.shared_memo,
             memo_owner=policy.memo_owner,
             checkpoint=policy.checkpoint,
@@ -183,7 +182,6 @@ class RandomSearchStrategy:
                 backend=policy.backend,
                 max_workers=policy.max_workers,
                 mp_context=policy.mp_context,
-                memoize=policy.memoize,
                 shared_memo=policy.shared_memo,
                 memo_owner=policy.memo_owner,
                 checkpoint=policy.checkpoint,
@@ -214,7 +212,6 @@ class GreedySearchStrategy:
                 backend=policy.backend,
                 max_workers=policy.max_workers,
                 mp_context=policy.mp_context,
-                memoize=policy.memoize,
                 shared_memo=policy.shared_memo,
                 memo_owner=policy.memo_owner,
                 checkpoint=policy.checkpoint,
@@ -248,7 +245,6 @@ class EvolutionarySearchStrategy:
                 backend=policy.backend,
                 max_workers=policy.max_workers,
                 mp_context=policy.mp_context,
-                memoize=policy.memoize,
                 shared_memo=policy.shared_memo,
                 memo_owner=policy.memo_owner,
                 checkpoint=policy.checkpoint,

@@ -109,7 +109,6 @@ def _make_env(
     backend: str = "inline",
     max_workers: int | None = None,
     mp_context: str | None = None,
-    memoize: bool = False,
     shared_memo=None,
     memo_owner: str = "",
     checkpoint=None,
@@ -123,7 +122,6 @@ def _make_env(
         measure_backend=backend,
         max_workers=max_workers,
         mp_context=mp_context,
-        memoize=memoize,
         shared_memo=shared_memo,
         memo_owner=memo_owner,
         checkpoint=checkpoint,
@@ -142,7 +140,6 @@ def run_random_search(
     backend: str = "inline",
     max_workers: int | None = None,
     mp_context: str | None = None,
-    memoize: bool = False,
     shared_memo=None,
     memo_owner: str = "",
     checkpoint=None,
@@ -160,7 +157,7 @@ def run_random_search(
     """
     env = _make_env(
         compiled, simulator, episode_length, measurement,
-        backend, max_workers, mp_context, memoize, shared_memo, memo_owner,
+        backend, max_workers, mp_context, shared_memo, memo_owner,
         checkpoint, progress,
     )
     try:
@@ -237,7 +234,6 @@ def run_greedy_search(
     backend: str = "inline",
     max_workers: int | None = None,
     mp_context: str | None = None,
-    memoize: bool = False,
     shared_memo=None,
     memo_owner: str = "",
     checkpoint=None,
@@ -251,23 +247,23 @@ def run_greedy_search(
     ``save_state``/``resume_state`` make the climb resumable: after every
     committed move the search exports its committed-swap path and evaluation
     count, and an interrupted run restarted with the last snapshot replays
-    the path (memo hits under ``memoize=True``) and keeps climbing within
-    the same budget.  Greedy improves monotonically, so the committed path
-    *is* the best path — no separate best tracking rides the snapshot.
+    the path (memo hits) and keeps climbing within the same budget.  Greedy
+    improves monotonically, so the committed path *is* the best path — no
+    separate best tracking rides the snapshot.
 
     Each round batch-measures *all* valid single-move candidates through the
     env's measurement service (concurrently under ``backend="threaded"``),
     then commits the winner with a real ``env.step``.  The committing step is
-    a measurement too, so it counts against the budget — and under
-    ``memoize=True`` it is a guaranteed memoization hit, as are probes of
-    previously visited schedules (e.g. the swap that reverts the last move).
+    a measurement too, so it counts against the budget — and it is a
+    guaranteed memoization hit, as are probes of previously visited
+    schedules (e.g. the swap that reverts the last move).
 
     This also serves as the stand-in for expert hand-scheduling (the vendor
     reference implementations) in the Figure 6 harness.
     """
     env = _make_env(
         compiled, simulator, episode_length, measurement,
-        backend, max_workers, mp_context, memoize, shared_memo, memo_owner,
+        backend, max_workers, mp_context, shared_memo, memo_owner,
         checkpoint, progress,
     )
     try:
@@ -359,7 +355,6 @@ def run_evolutionary_search(
     backend: str = "inline",
     max_workers: int | None = None,
     mp_context: str | None = None,
-    memoize: bool = False,
     shared_memo=None,
     memo_owner: str = "",
     checkpoint=None,
@@ -372,7 +367,7 @@ def run_evolutionary_search(
     Individuals are sequences of valid moves applied from the -O3 schedule;
     mutation appends/perturbs moves.  As the paper notes, the approach needs
     no training but is prone to local minima.  Surviving parents are replayed
-    every generation, so ``memoize=True`` turns those re-measurements into
+    every generation; the measurement memo turns those re-measurements into
     cache hits.
 
     ``save_state``/``resume_state`` are accepted for interface parity with
@@ -383,7 +378,7 @@ def run_evolutionary_search(
         _LOG.info("evolutionary: population checkpoints unsupported; starting fresh")
     env = _make_env(
         compiled, simulator, episode_length, measurement,
-        backend, max_workers, mp_context, memoize, shared_memo, memo_owner,
+        backend, max_workers, mp_context, shared_memo, memo_owner,
         checkpoint, progress,
     )
     try:

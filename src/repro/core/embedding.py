@@ -28,6 +28,13 @@ class StateEmbedder:
     The embedder is built once per assembly game from the initial kernel so
     the feature width (operand-table size, maximum operand count) stays fixed
     while the schedule mutates.
+
+    A row depends only on its (immutable) instruction and memory rank, and
+    the game only permutes the seed's instruction objects, so :meth:`embed`
+    reuses rows keyed by ``(instruction identity, memory rank)``: a swap
+    re-embeds nothing, and each instruction holds at most one row per memory
+    rank it has occupied.  Each entry keeps its instruction alive, so an
+    identity key is never reused by another object.
     """
 
     def __init__(self, kernel: SassKernel, tables: EmbeddingTables | None = None):
@@ -35,6 +42,7 @@ class StateEmbedder:
         self.num_instructions = len(kernel.instructions)
         # 6 wait bits + read + write + yield + stall + opcode channel + operands
         self.num_features = NUM_BARRIERS + 5 + self.tables.max_operands
+        self._rows: dict[tuple[int, int | None], tuple[Instruction, np.ndarray]] = {}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -66,7 +74,11 @@ class StateEmbedder:
             if line.is_actionable_memory:
                 rank = memory_rank
                 memory_rank += 1
-            rows.append(self.embed_instruction(line, rank))
+            entry = self._rows.get((id(line), rank))
+            if entry is None:
+                entry = (line, self.embed_instruction(line, rank))
+                self._rows[(id(line), rank)] = entry
+            rows.append(entry[1])
         matrix = np.asarray(rows, dtype=np.float64)
         if matrix.shape[0] != self.num_instructions:
             # The game only reorders, so the instruction count is invariant;

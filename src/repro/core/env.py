@@ -66,7 +66,6 @@ class AssemblyGame(Env):
         measure_backend: str = "inline",
         max_workers: int | None = None,
         mp_context: str | None = None,
-        memoize: bool = False,
         shared_memo=None,
         memo_owner: str = "",
         checkpoint=None,
@@ -81,7 +80,7 @@ class AssemblyGame(Env):
             # Explicit input tensors are not captured by the workload scope
             # key, so cross-session sharing could alias distinct workloads;
             # fall back to a private memo for this env.
-            shared_memo, memoize = None, True
+            shared_memo = None
         self.measure_service = create_measurement_service(
             self.simulator,
             compiled.grid,
@@ -91,7 +90,6 @@ class AssemblyGame(Env):
             backend=measure_backend,
             max_workers=max_workers,
             mp_context=mp_context,
-            memoize=memoize,
             shared_memo=shared_memo,
             memo_scope=""
             if shared_memo is None
@@ -151,6 +149,11 @@ class AssemblyGame(Env):
         self._steps = 0
         self._record = EpisodeRecord()
         self._record_open = True
+        # One-slot mask cache keyed on the identity of the kernel it was
+        # computed for: an agent asks for the mask and then steps, and both
+        # need the mask of the same (immutable) current schedule.
+        self._mask_kernel: SassKernel | None = None
+        self._mask = np.zeros(0, dtype=bool)
 
     # ------------------------------------------------------------------
     # Candidate measurement (public: searches batch-probe through these)
@@ -257,11 +260,17 @@ class AssemblyGame(Env):
             self._record = EpisodeRecord()
             self._record_open = False
 
+    def _current_mask(self) -> np.ndarray:
+        if self._mask_kernel is not self._kernel:
+            self._mask = self.masker.mask(self._kernel)
+            self._mask_kernel = self._kernel
+        return self._mask
+
     def action_masks(self) -> np.ndarray:
-        return self.masker.mask(self._kernel)
+        return self._current_mask().copy()
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool, bool, dict]:
-        mask = self.masker.mask(self._kernel)
+        mask = self._current_mask()
         if not mask.any():
             # No valid action: terminate immediately (§3.5).
             observation = self.embedder.embed(self._kernel)

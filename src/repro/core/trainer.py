@@ -83,7 +83,6 @@ class CuAsmRLTrainer:
         measure_backend: str = "inline",
         max_workers: int | None = None,
         mp_context: str | None = None,
-        memoize: bool = False,
         shared_memo=None,
         memo_owner: str = "",
         checkpoint=None,
@@ -101,7 +100,6 @@ class CuAsmRLTrainer:
             measure_backend=measure_backend,
             max_workers=max_workers,
             mp_context=mp_context,
-            memoize=memoize,
             shared_memo=shared_memo,
             memo_owner=memo_owner,
             checkpoint=checkpoint,

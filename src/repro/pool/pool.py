@@ -166,7 +166,6 @@ class SessionPool:
             if self.shared_memo is not None:
                 policy = dataclasses.replace(
                     policy,
-                    memoize=True,
                     shared_memo=self.shared_memo,
                     memo_owner=f"w{index}:{simulator.config.name}",
                 )

@@ -23,6 +23,8 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
 
+from repro.sim.measure_service import failed_future
+
 
 @dataclass
 class SharedMemoStats:
@@ -57,7 +59,9 @@ class SharedMemoTable:
     stored future immediately and the caller decides when to resolve it.  Two
     workers racing on the same unmeasured schedule may both simulate it once;
     :meth:`put` keeps the first future so later requesters converge on one
-    timing object.
+    timing object.  A future that resolved with an exception is never served:
+    the next lookup drops it, so one worker's transient failure does not
+    reach its siblings.
     """
 
     def __init__(self, max_entries: int = 65536):
@@ -66,11 +70,22 @@ class SharedMemoTable:
         self._entries: "OrderedDict[str, tuple[Future, str]]" = OrderedDict()
         self._lock = threading.Lock()
 
+    def _live(self, key: str) -> "tuple[Future, str] | None":
+        """The entry for ``key``; a failed measurement is dropped, not served.
+
+        Caller holds the lock.
+        """
+        item = self._entries.get(key)
+        if item is not None and failed_future(item[0]):
+            del self._entries[key]
+            return None
+        return item
+
     def get(self, key: str, *, owner: str = "") -> "Future | None":
         """The memoized future for ``key``, or ``None`` on a miss."""
         with self._lock:
             self.stats.lookups += 1
-            item = self._entries.get(key)
+            item = self._live(key)
             if item is None:
                 return None
             self._entries.move_to_end(key)
@@ -87,7 +102,7 @@ class SharedMemoTable:
         instead, so every caller hands out the same timing object.
         """
         with self._lock:
-            existing = self._entries.get(key)
+            existing = self._live(key)
             if existing is not None:
                 self._entries.move_to_end(key)
                 return existing[0]

@@ -291,6 +291,14 @@ class Instruction:
             text += f"  // {self.comment}"
         return text
 
+    def rendered_bytes(self) -> bytes:
+        """UTF-8 of :meth:`render` (control code included), cached: schedule
+        digests hash it once per line of every candidate."""
+        cached = self.__dict__.get("_cached_rendered_bytes")
+        if cached is None:
+            cached = self._cache("_cached_rendered_bytes", self.render().encode("utf-8"))
+        return cached
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()
 
@@ -307,6 +315,9 @@ class Label:
 
     def render(self) -> str:
         return f"{self.name}:"
+
+    def rendered_bytes(self) -> bytes:
+        return self.render().encode("utf-8")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()

@@ -92,16 +92,16 @@ class SassKernel:
         Two kernels with the same listing (same instructions, control codes and
         labels in the same order) share a digest regardless of object identity,
         which is what measurement memoization and per-schedule noise streams
-        key on.  The digest is cached: kernels are immutable by construction.
+        key on: sha256 over the name and each line's render, newline-joined.
+        The digest is cached (kernels are immutable by construction), and so
+        is each instruction's rendered line, which a swap carries over to the
+        candidate unchanged.
         """
         digest = getattr(self, "_content_digest", None)
         if digest is None:
-            hasher = hashlib.sha256()
-            hasher.update(self.metadata.name.encode("utf-8"))
-            for line in self._lines:
-                hasher.update(b"\n")
-                hasher.update(line.render().encode("utf-8"))
-            digest = hasher.hexdigest()
+            parts = [self.metadata.name.encode("utf-8")]
+            parts.extend(line.rendered_bytes() for line in self._lines)
+            digest = hashlib.sha256(b"\n".join(parts)).hexdigest()
             self._content_digest = digest
         return digest
 

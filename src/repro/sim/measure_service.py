@@ -14,14 +14,15 @@ issued from the search loop:
   does not parallelize on threads); the workload ships to each worker process
   once via the pool initializer, individual submissions only pickle the
   candidate schedule;
-* memoization — an orthogonal wrapper that dedups repeated schedules by a
-  content digest of the instruction sequence.  Greedy and evolutionary search
-  re-measure identical schedules constantly (the committing step, reverted
-  swaps, shared prefixes), so the wrapper trades a dictionary lookup for a
-  full timing simulation.  The memo table is private per service by default;
-  a :class:`repro.pool.shared_memo.SharedMemoTable` can be plugged in so
-  several sessions (e.g. the workers of a ``SessionPool``) share one table,
-  with entries namespaced by a workload *scope* key.
+* memoization — a wrapper around every backend that dedups repeated
+  schedules by a content digest of the instruction sequence.  Every search
+  re-measures identical schedules (greedy's committing step, reverted swaps,
+  an agent revisiting a state, replayed parents), so the wrapper trades a
+  dictionary lookup for a full timing simulation.  The memo table is private
+  per service by default; a :class:`repro.pool.shared_memo.SharedMemoTable`
+  can be plugged in so several sessions (e.g. the workers of a
+  ``SessionPool``) share one table, with entries namespaced by a workload
+  *scope* key.
 
 A service instance is bound to one workload (kernel launch geometry, input
 tensors, measurement protocol) and measures *candidate schedules* of that
@@ -72,6 +73,11 @@ class MeasurementStats:
             "memo_hits": self.memo_hits,
             "pruned": self.pruned,
         }
+
+
+def failed_future(future: Future) -> bool:
+    """Whether ``future`` resolved without a result (exception or cancel)."""
+    return future.done() and (future.cancelled() or future.exception() is not None)
 
 
 @runtime_checkable
@@ -300,9 +306,15 @@ class MemoizedMeasurementBackend:
     counts raw simulator work and ``memo_hits`` counts deduped requests.
 
     The table is bounded (``max_entries``, FIFO eviction): a long search over
-    mostly unique schedules — e.g. a PPO run with ``memoize=True`` — must not
-    retain a timing object per schedule ever measured.  An evicted schedule
-    simply re-measures on its next submission.
+    mostly unique schedules — e.g. a long PPO run — must not retain a timing
+    object per schedule ever measured.  An evicted schedule simply
+    re-measures on its next submission.  Failures are never memoized: a
+    lookup that finds a future resolved with an exception (or cancelled)
+    drops it and measures afresh, so a transient error — a broken worker
+    pool, say — fails only the requests that shared that future.  (The check
+    sits on the lookup, not in a done-callback: ``concurrent.futures`` wakes
+    waiters before it runs callbacks, so a caller could resubmit before a
+    callback had dropped the entry.)
 
     With ``table`` set (any object with the ``get(key, owner=...)`` /
     ``put(key, future, owner=...)`` shape of
@@ -364,6 +376,9 @@ class MemoizedMeasurementBackend:
             return self.table.put(key, future, owner=self.owner)
         with self._lock:
             cached = self._futures.get(key)
+            if cached is not None and failed_future(cached):
+                del self._futures[key]
+                cached = None
         if cached is not None:
             self._tick_hit()
             return cached
@@ -438,7 +453,6 @@ def create_measurement_service(
     backend: str = "inline",
     max_workers: int | None = None,
     mp_context: str | None = None,
-    memoize: bool = False,
     shared_memo=None,
     memo_scope: str = "",
     memo_owner: str = "",
@@ -448,10 +462,13 @@ def create_measurement_service(
     """Build the measurement backend stack for one workload.
 
     ``backend`` selects the execution style (``"inline"``, ``"threaded"`` or
-    ``"process"``); ``memoize`` wraps it in schedule-digest deduplication.
-    Passing ``shared_memo`` (a cross-session table; see
-    :class:`~repro.pool.shared_memo.SharedMemoTable`) implies memoization and
-    requires ``memo_scope`` to namespace this workload's entries.
+    ``"process"``), always wrapped in schedule-digest deduplication: memo
+    hits are bit-identical to re-measuring (per-``(seed, schedule)`` noise
+    streams), so there is nothing to gain by measuring a schedule twice.
+    The memo table is private to the service unless ``shared_memo`` (a
+    cross-session table; see :class:`~repro.pool.shared_memo.SharedMemoTable`)
+    is given, which requires ``memo_scope`` to namespace this workload's
+    entries.
     ``checkpoint`` installs a cooperative cancellation hook run between
     candidate submissions/batches (raise from it to abort the search);
     ``progress`` streams cumulative submission counts — both ride along on
@@ -464,6 +481,8 @@ def create_measurement_service(
             f"unknown measurement backend {backend!r}; "
             f"available: {list(available_measurement_backends())}"
         ) from exc
+    if shared_memo is not None and not memo_scope:
+        raise ValueError("shared_memo requires a memo_scope identifying the workload")
     kwargs: dict = {"checkpoint": checkpoint, "progress": progress}
     if backend_cls is ThreadedMeasurementBackend:
         kwargs["max_workers"] = max_workers
@@ -473,12 +492,6 @@ def create_measurement_service(
     service: MeasurementBackend = backend_cls(
         simulator, grid, tensors, param_order, scalars, measurement, **kwargs
     )
-    if shared_memo is not None:
-        if not memo_scope:
-            raise ValueError("shared_memo requires a memo_scope identifying the workload")
-        service = MemoizedMeasurementBackend(
-            service, table=shared_memo, scope=memo_scope, owner=memo_owner
-        )
-    elif memoize:
-        service = MemoizedMeasurementBackend(service)
-    return service
+    return MemoizedMeasurementBackend(
+        service, table=shared_memo, scope=memo_scope, owner=memo_owner
+    )

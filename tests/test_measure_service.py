@@ -12,6 +12,7 @@ from repro.sim import (
     GridConfig,
     KernelTiming,
     MeasurementConfig,
+    MemoizedMeasurementBackend,
     available_measurement_backends,
     create_measurement_service,
 )
@@ -73,7 +74,11 @@ def test_pooled_backends_match_inline(compiled, simulator, backend):
     # KernelTiming (and the nested TimingResult) are dataclasses: this is a
     # field-by-field, bit-identical comparison.
     assert inline_timings == pooled_timings
-    assert inline.stats.measured == pooled.stats.measured == len(kernels)
+    # Both stacks memoize: one raw measurement per distinct schedule (two
+    # mutations may collide), every request submitted.
+    distinct = len({kernel.content_digest() for kernel in kernels})
+    assert inline.stats.measured == pooled.stats.measured == distinct
+    assert inline.stats.submitted == pooled.stats.submitted == len(kernels)
 
 
 def test_unknown_backend_rejected(compiled, simulator):
@@ -119,9 +124,7 @@ def test_memoized_backend_dedups_repeated_schedules():
     assert kernel_b.content_digest() != kernel_a.content_digest()
 
     stub = CountingSimulator()
-    service = create_measurement_service(
-        stub, GridConfig((1, 1, 1), 1), {}, [], memoize=True
-    )
+    service = create_measurement_service(stub, GridConfig((1, 1, 1), 1), {}, [])
     timings = service.measure_batch([kernel_a, kernel_b, kernel_a_clone, kernel_a, kernel_b])
     assert stub.calls == 2  # one raw measurement per unique schedule
     assert service.stats.measured == 2
@@ -185,7 +188,7 @@ def test_memo_table_is_bounded():
     kernel_a = SassKernel.from_text(ADD_ONE, KernelMetadata(name="addone", num_warps=1))
     kernel_b = kernel_a.swap(3, 4)
     stub = CountingSimulator()
-    service = create_measurement_service(stub, GridConfig((1, 1, 1), 1), {}, [], memoize=True)
+    service = create_measurement_service(stub, GridConfig((1, 1, 1), 1), {}, [])
     service.max_entries = 1
     service.measure_batch([kernel_a, kernel_b, kernel_a])  # b evicts a; a re-measures
     assert stub.calls == 3
@@ -225,7 +228,7 @@ def test_noise_streams_differ_across_candidates_and_reproduce():
 # ---------------------------------------------------------------------------
 def test_greedy_counts_committing_steps_and_stays_in_episode(compiled, simulator):
     result = run_greedy_search(
-        compiled, budget=40, episode_length=2, simulator=simulator, memoize=True
+        compiled, budget=40, episode_length=2, simulator=simulator
     )
     # Every history entry is a counted evaluation (probes + committing steps).
     assert result.evaluations == len(result.history)
@@ -235,26 +238,42 @@ def test_greedy_counts_committing_steps_and_stays_in_episode(compiled, simulator
     assert result.speedup >= 0.999
 
 
-def test_greedy_threaded_memoized_matches_inline_with_fewer_raw_measurements(simulator):
+def test_greedy_threaded_memoized_matches_inline_with_fewer_raw_measurements(
+    simulator, monkeypatch
+):
+    requested: list[str] = []
+    submit = MemoizedMeasurementBackend.submit
+
+    def recording_submit(self, candidate):
+        requested.append(candidate.content_digest())
+        return submit(self, candidate)
+
+    monkeypatch.setattr(MemoizedMeasurementBackend, "submit", recording_submit)
     config = OptimizationConfig(
         strategy="greedy", scale="test", search_budget=24, episode_length=8,
         autotune=False, verify=False,
     )
     no_cache = CacheConfig(enabled=False)
     inline_report = Session(gpu=simulator, config=config, cache=no_cache).optimize("mmLeakyReLu")
+    inline_requested = list(requested)
+    requested.clear()
     memo_report = Session(
         gpu=simulator,
         config=config,
         cache=no_cache,
-        measurement=MeasurementPolicy(backend="threaded", max_workers=4, memoize=True),
+        measurement=MeasurementPolicy(backend="threaded", max_workers=4),
     ).optimize("mmLeakyReLu")
 
     assert memo_report.best_time_ms == inline_report.best_time_ms
     assert memo_report.evaluations == inline_report.evaluations
-    inline_stats = inline_report.details["measurement"]
-    memo_stats = memo_report.details["measurement"]
-    assert memo_stats["memo_hits"] > 0
-    assert memo_stats["measured"] < inline_stats["measured"]
+    assert requested == inline_requested
+    for report, digests in ((inline_report, inline_requested), (memo_report, requested)):
+        stats = report.details["measurement"]
+        # Every backend memoizes: one raw measurement per distinct schedule,
+        # strictly fewer than the requests (greedy re-requests its commits).
+        assert stats["submitted"] == len(digests)
+        assert stats["measured"] == len(set(digests))
+        assert stats["memo_hits"] == len(digests) - len(set(digests)) > 0
     assert inline_report.details["evaluations_per_sec"] > 0
 
 
@@ -271,8 +290,135 @@ def test_env_measure_candidates_is_public_and_consistent(compiled, simulator):
     batch = env.measure_candidates(kernels)
     single = [env.measure_candidate(kernel) for kernel in kernels]
     assert batch == single
-    assert env.measurement_stats.measured >= 2 * len(kernels)
+    # The baseline plus both passes were requested; only distinct schedules
+    # reached the simulator, and the second pass was answered by the memo.
+    distinct = {base.content_digest()} | {kernel.content_digest() for kernel in kernels}
+    stats = env.measurement_stats
+    assert stats.submitted == 1 + 2 * len(kernels)
+    assert stats.measured == len(distinct)
+    assert stats.memo_hits == stats.submitted - stats.measured >= len(kernels)
     env.close()
+
+
+# ---------------------------------------------------------------------------
+# Failed measurements are never memoized
+# ---------------------------------------------------------------------------
+class FlakySimulator(CountingSimulator):
+    """Fails its first measurement, then behaves (a transient backend fault)."""
+
+    def measure_with_launch(self, kernel, launch, measurement=None):
+        if self.calls == 0:
+            self.calls += 1
+            raise RuntimeError("transient measurement failure")
+        return super().measure_with_launch(kernel, launch, measurement)
+
+
+@pytest.mark.parametrize("table", ["private", "shared"])
+@pytest.mark.parametrize("backend", ["inline", "threaded"])
+def test_failed_measurement_is_not_memoized(table, backend):
+    from repro.pool import SharedMemoTable
+
+    kernel = SassKernel.from_text(ADD_ONE, KernelMetadata(name="addone", num_warps=1))
+    shared = SharedMemoTable() if table == "shared" else None
+
+    def service(stub, owner):
+        return create_measurement_service(
+            stub, GridConfig((1, 1, 1), 1), {}, [], backend=backend, max_workers=1,
+            shared_memo=shared, memo_scope="addone" if shared is not None else "", memo_owner=owner,
+        )
+
+    flaky = FlakySimulator()
+    first = service(flaky, "w0")
+    try:
+        with pytest.raises(RuntimeError, match="transient"):
+            first.submit(kernel).result()
+        # The failure is not replayed: the next request measures afresh, and
+        # the success is what the memo keeps.
+        timing = first.submit(kernel).result()
+        assert timing.time_ms == 1.0
+        assert first.submit(kernel).result() is timing
+        assert flaky.calls == 2
+        assert first.stats.as_dict() == {
+            "submitted": 3, "measured": 2, "memo_hits": 1, "pruned": 0,
+        }
+    finally:
+        first.close()
+    if shared is not None:
+        # A sibling sharing the table gets the success, not the old error.
+        healthy = CountingSimulator()
+        sibling = service(healthy, "w1")
+        try:
+            assert sibling.submit(kernel).result() is timing
+        finally:
+            sibling.close()
+        assert healthy.calls == 0
+        assert shared.stats.cross_worker_hits == 1
+
+
+def test_failures_reach_only_their_own_request_under_concurrency():
+    """More threads than cores share one table through flaky services.
+
+    Inline futures resolve before they are stored, so a failure may reach
+    only the request that measured it (or none, when a racing sibling had
+    already stored a success): requests that saw an error never outnumber
+    raw measurements that failed, and nothing failed is left in the table.
+    """
+    import sys
+    import threading
+
+    from repro.pool import SharedMemoTable
+
+    class AlternatingSimulator(CountingSimulator):
+        lock = threading.Lock()
+        failures = 0
+
+        def measure_with_launch(self, kernel, launch, measurement=None):
+            with AlternatingSimulator.lock:
+                self.calls += 1
+                fail = self.calls % 2 == 1
+                AlternatingSimulator.failures += fail
+            if fail:
+                raise RuntimeError("transient measurement failure")
+            return super().measure_with_launch(kernel, launch, measurement)
+
+    base = SassKernel.from_text(ADD_ONE, KernelMetadata(name="addone", num_warps=1))
+    kernels = [base, base.swap(3, 4), base.swap(4, 5), base.swap(5, 6)]
+    table = SharedMemoTable()
+    seen_errors = []
+    services = [
+        create_measurement_service(
+            AlternatingSimulator(), GridConfig((1, 1, 1), 1), {}, [],
+            shared_memo=table, memo_scope="addone", memo_owner=f"w{index}",
+        )
+        for index in range(8)
+    ]
+
+    def hammer(service):
+        for round_ in range(100):
+            try:
+                service.submit(kernels[round_ % len(kernels)]).result()
+            except RuntimeError:
+                seen_errors.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hammer, args=(service,)) for service in services]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert 0 < len(seen_errors) <= AlternatingSimulator.failures
+    for kernel in kernels:
+        cached = table.get(f"addone|{kernel.content_digest()}")
+        assert cached is not None and cached.result().time_ms == 1.0
+    for service in services:
+        stats = service.stats
+        assert stats.submitted == 100
+        assert stats.measured + stats.memo_hits == stats.submitted
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +454,7 @@ def test_checkpoint_fires_on_memo_hits_too(compiled, simulator):
 
     service = create_measurement_service(
         simulator, compiled.grid, compiled.make_inputs(0), compiled.param_order,
-        memoize=True, checkpoint=checkpoint,
+        checkpoint=checkpoint,
     )
     service.measure_batch(kernels)
     cancelled.append(True)
@@ -323,7 +469,7 @@ def test_progress_reports_cumulative_submissions(compiled, simulator):
     counts = []
     service = create_measurement_service(
         simulator, compiled.grid, compiled.make_inputs(0), compiled.param_order,
-        memoize=True, progress=counts.append,
+        progress=counts.append,
     )
     service.measure_batch(kernels)
     assert counts == list(range(1, len(kernels) + 1))

@@ -413,8 +413,8 @@ def test_pool_measurement_policy_is_worker_scoped():
         ["A100-sim"], config=_FAST, measurement=policy, cache=_NO_CACHE
     ) as pool:
         worker_policy = pool.workers[0].session.measurement
-        assert worker_policy.memoize and worker_policy.shared_memo is pool.shared_memo
-        assert worker_policy.backend == "threaded"
-    assert policy.shared_memo is None and not policy.memoize
+        assert worker_policy.shared_memo is pool.shared_memo
+        assert worker_policy.memo_owner and worker_policy.backend == "threaded"
+    assert policy.shared_memo is None and policy.memo_owner == ""
     # Frozen configs still round-trip through replace with the new fields.
     assert dataclasses.replace(policy, memo_owner="x").memo_owner == "x"
